@@ -1477,3 +1477,13 @@ impl AduTransport {
         self.pace_now = SimDuration::from_nanos(pace_ns as u64).min(MAX_PACE);
     }
 }
+
+impl ct_netsim::pump::Endpoint for AduTransport {
+    fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        AduTransport::poll(self, now)
+    }
+
+    fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
+        AduTransport::on_frame(self, now, frame);
+    }
+}

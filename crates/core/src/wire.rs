@@ -450,6 +450,20 @@ pub fn restamp_tu(frame: &mut [u8], ts_us: u32) {
     seal_checksum(frame);
 }
 
+/// Where the association id sits in every wire message: type, flags,
+/// checksum, then `assoc`.
+const ASSOC_OFFSET: usize = 4;
+
+/// Read the association id out of a wire message without decoding it —
+/// the demultiplexing key, in the fixed header prefix so stage-1 control
+/// can route a frame before touching its payload (§6: "at least some part
+/// of the data must be extracted from the network before it can be
+/// demultiplexed"). Returns `None` for messages too short to carry one.
+pub fn peek_assoc(buf: &[u8]) -> Option<u16> {
+    let id = buf.get(ASSOC_OFFSET..ASSOC_OFFSET + 2)?;
+    Some(u16::from_be_bytes([id[0], id[1]]))
+}
+
 /// Split an ADU payload into TUs of at most `mtu_payload` fragment bytes.
 /// Zero-length ADUs produce a single empty TU (the name still travels).
 ///
@@ -530,6 +544,17 @@ mod tests {
             name: AduName::FileRange { offset: 123_456 },
             payload: vec![0xAB; 250].into(),
         }
+    }
+
+    #[test]
+    fn peek_assoc_reads_header() {
+        assert_eq!(peek_assoc(&Message::Tu(sample_tu()).encode()), Some(7));
+        let nack = Message::Nack {
+            assoc: 0xBEEF,
+            ids: vec![1],
+        };
+        assert_eq!(peek_assoc(&nack.encode()), Some(0xBEEF));
+        assert_eq!(peek_assoc(&[1, 2, 3]), None);
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //!   detection; lost cell ⇒ whole PDU discarded, as the paper's §5
 //!   footnote 9 describes.
 //! * [`trace`] — counters and an optional per-frame trace ring.
+//! * [`pump`] — the two-endpoint driver round shared by every
+//!   point-to-point experiment, over either the packet or the ATM
+//!   substrate.
 //!
 //! ## Determinism
 //!
@@ -38,6 +41,7 @@ pub mod event;
 pub mod fault;
 pub mod link;
 pub mod net;
+pub mod pump;
 pub mod rng;
 pub mod time;
 pub mod trace;
@@ -46,5 +50,6 @@ pub use atm::{AtmConfig, AtmEndpoint, CELL_HEADER_BYTES, CELL_PAYLOAD_BYTES, CEL
 pub use fault::{FaultConfig, GilbertElliott};
 pub use link::LinkConfig;
 pub use net::{Frame, Network, NodeId};
+pub use pump::{Endpoint, Pump, Substrate};
 pub use rng::SimRng;
 pub use time::SimTime;

@@ -29,9 +29,9 @@
 pub mod cluster;
 
 use alf_core::adu::Adu;
-use alf_core::mux::peek_assoc;
 use alf_core::timer::TimerWheel;
 use alf_core::transport::{AduTransport, AlfConfig, AlfStats, LossReport, SendRefused};
+use alf_core::wire::peek_assoc;
 use ct_netsim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -1047,7 +1047,7 @@ mod tests {
                 for (peer, _, client) in &mut clients {
                     if *peer == p {
                         // The wire assoc id demultiplexes within the peer.
-                        if alf_core::mux::peek_assoc(&f) == Some(client.config().assoc) {
+                        if peek_assoc(&f) == Some(client.config().assoc) {
                             client.on_frame(now, f.clone().into());
                         }
                     }

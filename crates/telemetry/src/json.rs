@@ -1,5 +1,6 @@
 //! A hand-rolled JSON subset: enough writer + parser for the workspace's
-//! JSONL exports, with proper string escaping, and zero dependencies.
+//! JSONL exports and `BENCH_*.json` baselines, with proper string
+//! escaping, and zero dependencies.
 //!
 //! The exports only ever emit objects whose values are strings, numbers,
 //! `null`, or arrays thereof — so that is all the parser accepts. Numbers
@@ -25,6 +26,43 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// A number written as `value`'s display text, so a caller's chosen
+    /// precision (`format!("{x:.4}")`) reaches the output unchanged.
+    pub fn num(value: impl fmt::Display) -> Self {
+        JsonValue::Num(value.to_string())
+    }
+
+    /// An object with `fields` in the given order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> Self {
+        JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Render in the `BENCH_*.json` layout: a top-level object one field
+    /// per line, a top-level field's array one element per line, anything
+    /// deeper on one line (see the [`fmt::Display`] form); ends in a
+    /// newline.
+    pub fn to_pretty(&self) -> String {
+        let JsonValue::Obj(fields) = self else {
+            return format!("{self}\n");
+        };
+        let lines: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| {
+                let mut line = String::from("  ");
+                write_escaped(&mut line, k);
+                match v {
+                    JsonValue::Arr(items) if !items.is_empty() => {
+                        let items: Vec<String> = items.iter().map(|i| format!("    {i}")).collect();
+                        line.push_str(&format!(": [\n{}\n  ]", items.join(",\n")));
+                    }
+                    v => line.push_str(&format!(": {v}")),
+                }
+                line
+            })
+            .collect();
+        format!("{{\n{}\n}}\n", lines.join(",\n"))
+    }
+
     /// Look up a field of an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -62,6 +100,39 @@ impl JsonValue {
         match self {
             JsonValue::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+}
+
+/// The one-line form: `{"k": v, "k2": [1, 2]}`, numbers as their raw text.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Num(raw) => f.write_str(raw),
+            JsonValue::Str(s) => {
+                let mut out = String::new();
+                write_escaped(&mut out, s);
+                f.write_str(&out)
+            }
+            JsonValue::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{item}")?;
+                }
+                f.write_str("]")
+            }
+            JsonValue::Obj(fields) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    let mut key = String::new();
+                    write_escaped(&mut key, k);
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{key}: {v}")?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -356,6 +427,28 @@ mod tests {
         assert!(parse("[1, 2] tail").is_err());
         assert!(parse("nul").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn pretty_layout_round_trips() {
+        let v = JsonValue::obj([
+            ("experiment", JsonValue::Str("x0".into())),
+            (
+                "rows",
+                JsonValue::Arr(vec![JsonValue::obj([("a", JsonValue::num("1.50"))]); 2]),
+            ),
+            (
+                "flood",
+                JsonValue::obj([("b", JsonValue::Null), ("c", JsonValue::Arr(vec![]))]),
+            ),
+        ]);
+        let text = v.to_pretty();
+        assert_eq!(
+            text,
+            "{\n  \"experiment\": \"x0\",\n  \"rows\": [\n    {\"a\": 1.50},\n    \
+             {\"a\": 1.50}\n  ],\n  \"flood\": {\"b\": null, \"c\": []}\n}\n"
+        );
+        assert_eq!(parse(&text).unwrap(), v);
     }
 
     #[test]

@@ -9,19 +9,26 @@
 use crate::stream::{StreamConfig, StreamStats, StreamTransport};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::{Network, NodeId};
-use ct_netsim::time::SimDuration;
+use ct_netsim::pump::{Endpoint, Pump, Substrate};
+use ct_netsim::time::{SimDuration, SimTime};
 use ct_wire::checksum::crc32;
+use ct_wire::WireBuf;
+
+impl Endpoint for StreamTransport {
+    fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        StreamTransport::poll(self, now)
+    }
+
+    fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
+        StreamTransport::on_frame(self, now, frame);
+    }
+}
 
 /// A pair of stream endpoints attached to the ends of one simulated link.
 #[derive(Debug)]
 pub struct TransportPair {
-    /// The network carrying the segments.
-    pub net: Network,
-    /// Node the `a` endpoint is bound to.
-    pub node_a: NodeId,
-    /// Node the `b` endpoint is bound to.
-    pub node_b: NodeId,
+    /// The network and packet substrate carrying the segments.
+    pub pump: Pump,
     /// Endpoint a (conventionally the sender in tests).
     pub a: StreamTransport,
     /// Endpoint b (conventionally the receiver).
@@ -32,14 +39,8 @@ impl TransportPair {
     /// Build a two-node network with the given link and fault profile and
     /// attach a transport endpoint to each node.
     pub fn new(seed: u64, link: LinkConfig, faults: FaultConfig, cfg: StreamConfig) -> Self {
-        let mut net = Network::new(seed);
-        let node_a = net.add_node();
-        let node_b = net.add_node();
-        net.connect(node_a, node_b, link, faults);
         Self {
-            net,
-            node_a,
-            node_b,
+            pump: Pump::new(seed, link, faults, Substrate::Packet),
             a: StreamTransport::new(cfg, 1, 2),
             b: StreamTransport::new(cfg, 2, 1),
         }
@@ -49,46 +50,9 @@ impl TransportPair {
     /// network event (or jump to the next timer if the wire is idle).
     /// Returns `false` if nothing can make progress any more.
     pub fn tick(&mut self) -> bool {
-        let now = self.net.now();
-        let mut moved = false;
-        for f in self.a.poll(now) {
-            moved = true;
-            let _ = self.net.send(self.node_a, self.node_b, f);
-        }
-        for f in self.b.poll(now) {
-            moved = true;
-            let _ = self.net.send(self.node_b, self.node_a, f);
-        }
-        while let Some(frame) = self.net.recv(self.node_b) {
-            moved = true;
-            self.b.on_segment(self.net.now(), &frame.payload);
-        }
-        while let Some(frame) = self.net.recv(self.node_a) {
-            moved = true;
-            self.a.on_segment(self.net.now(), &frame.payload);
-        }
-        if !self.net.is_idle() {
-            self.net.step();
-            return true;
-        }
-        if moved {
-            return true;
-        }
-        // Wire quiet, nothing produced: jump to the earliest timer.
-        let next = match (self.a.next_timeout(), self.b.next_timeout()) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (Some(x), None) => Some(x),
-            (None, Some(y)) => Some(y),
-            (None, None) => None,
-        };
-        match next {
-            Some(t) if t > now => {
-                self.net.advance(t.saturating_since(now));
-                true
-            }
-            Some(_) => true, // timer already due; next poll handles it
-            None => false,   // truly stuck (or finished)
-        }
+        let moved = self.pump.exchange(&mut self.a, &mut self.b);
+        self.pump
+            .step(moved, [self.a.next_timeout(), self.b.next_timeout()])
     }
 }
 
@@ -144,11 +108,11 @@ pub fn run_transfer_telemetry(
 ) -> TransferReport {
     let mut pair = TransportPair::new(seed, link, faults, cfg);
     if let Some(tel) = telemetry {
-        pair.net.attach_telemetry(tel.clone());
+        pair.pump.net.attach_telemetry(tel.clone());
         pair.a.attach_telemetry(tel.clone(), "sender");
         pair.b.attach_telemetry(tel.clone(), "receiver");
     }
-    let start = pair.net.now();
+    let start = pair.pump.net.now();
     let mut offset = 0usize;
     let mut fin_queued = false;
     let mut received = 0u64;
@@ -185,7 +149,7 @@ pub fn run_transfer_telemetry(
             break;
         }
     }
-    let elapsed = pair.net.now().saturating_since(start);
+    let elapsed = pair.pump.net.now().saturating_since(start);
     if let Some(tel) = telemetry {
         let mut reg = tel.metrics_mut();
         pair.a.stats.publish(&mut reg, "stream.sender");
@@ -201,7 +165,7 @@ pub fn run_transfer_telemetry(
         received_crc32: crc_state ^ 0xFFFF_FFFF,
         sender: pair.a.stats,
         receiver: pair.b.stats,
-        net_loss_rate: pair.net.stats().loss_rate(),
+        net_loss_rate: pair.pump.net.stats().loss_rate(),
     }
 }
 

@@ -22,11 +22,14 @@
 //! seconds, `TransferReport` holds simulated seconds.
 
 use crate::driver::TransportPair;
-use crate::stream::StreamConfig;
+use crate::stream::{StreamConfig, StreamTransport};
 use ct_crypto::stream::XorStream;
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Endpoint;
+use ct_netsim::time::SimTime;
 use ct_presentation::{ber, xdr, CodecError, PValue, TransferSyntax};
+use ct_wire::WireBuf;
 use std::time::Instant;
 
 /// One application record to be carried through the stack.
@@ -57,7 +60,7 @@ pub struct LayerTimes {
     pub presentation: f64,
     /// Encryption + decryption.
     pub crypto: f64,
-    /// Transport machine: poll / on_segment / send / recv, including the
+    /// Transport machine: poll / on_frame / send / recv, including the
     /// per-segment checksum and all stream copies.
     pub transport: f64,
 }
@@ -164,6 +167,31 @@ fn frame_record(tag: u8, body: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(body);
 }
 
+/// A stream endpoint whose pump calls accumulate real time in `secs`,
+/// booked as transport CPU.
+struct Timed<'a> {
+    ep: &'a mut StreamTransport,
+    secs: f64,
+}
+
+impl Endpoint for Timed<'_> {
+    fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        let t = Instant::now();
+        let out = self.ep.poll(now);
+        self.secs += t.elapsed().as_secs_f64();
+        out
+    }
+
+    fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
+        // Owned frame → zero-copy ingest (out-of-order segments are
+        // buffered as views). The layered stack's booked passes are its
+        // explicit per-layer copies, which are unchanged.
+        let t = Instant::now();
+        self.ep.on_frame(now, frame);
+        self.secs += t.elapsed().as_secs_f64();
+    }
+}
+
 /// Encryption key used by stack runs (both ends share it out of band).
 const STACK_KEY: u64 = 0x0C1A_12C3;
 
@@ -198,7 +226,7 @@ pub fn run_layered_transfer_telemetry(
 ) -> StackReport {
     let mut pair = TransportPair::new(seed, link, faults, cfg.transport);
     if let Some(tel) = telemetry {
-        pair.net.attach_telemetry(tel.clone());
+        pair.pump.net.attach_telemetry(tel.clone());
     }
     let ledger = telemetry.map(ct_telemetry::Telemetry::ledger);
     let cipher = XorStream::new(STACK_KEY);
@@ -217,7 +245,7 @@ pub fn run_layered_transfer_telemetry(
     let mut delivered: Vec<Record> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
 
-    let start = pair.net.now();
+    let start = pair.pump.net.now();
     let total_app_bytes: u64 = records.iter().map(|r| r.app_bytes() as u64).sum();
     let max_iters = 2_000_000 + total_app_bytes as usize / 8;
     let mut complete = false;
@@ -278,52 +306,18 @@ pub fn run_layered_transfer_telemetry(
         // event processing is the "network", which the paper's stack
         // accounting of course excludes.
         let progressed = {
-            let now = pair.net.now();
-            let t3 = Instant::now();
-            let frames_a = pair.a.poll(now);
-            let frames_b = pair.b.poll(now);
-            times.transport += t3.elapsed().as_secs_f64();
-            let mut moved = !frames_a.is_empty() || !frames_b.is_empty();
-            for f in frames_a {
-                let _ = pair.net.send(pair.node_a, pair.node_b, f);
-            }
-            for f in frames_b {
-                let _ = pair.net.send(pair.node_b, pair.node_a, f);
-            }
-            while let Some(frame) = pair.net.recv(pair.node_b) {
-                moved = true;
-                let t = Instant::now();
-                // Owned frame → zero-copy ingest (out-of-order segments are
-                // buffered as views). The layered stack's booked passes are
-                // its explicit per-layer copies, which are unchanged.
-                pair.b.on_frame(pair.net.now(), frame.payload.into());
-                times.transport += t.elapsed().as_secs_f64();
-            }
-            while let Some(frame) = pair.net.recv(pair.node_a) {
-                moved = true;
-                let t = Instant::now();
-                pair.a.on_frame(pair.net.now(), frame.payload.into());
-                times.transport += t.elapsed().as_secs_f64();
-            }
-            if !pair.net.is_idle() {
-                pair.net.step();
-                true
-            } else if moved {
-                true
-            } else {
-                let next = match (pair.a.next_timeout(), pair.b.next_timeout()) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, y) => x.or(y),
-                };
-                match next {
-                    Some(t) if t > now => {
-                        pair.net.advance(t.saturating_since(now));
-                        true
-                    }
-                    Some(_) => true,
-                    None => false,
-                }
-            }
+            let mut a = Timed {
+                ep: &mut pair.a,
+                secs: 0.0,
+            };
+            let mut b = Timed {
+                ep: &mut pair.b,
+                secs: 0.0,
+            };
+            let moved = pair.pump.exchange(&mut a, &mut b);
+            times.transport += a.secs + b.secs;
+            pair.pump
+                .step(moved, [pair.a.next_timeout(), pair.b.next_timeout()])
         };
         let n_read = {
             let t3 = Instant::now();
@@ -434,7 +428,7 @@ pub fn run_layered_transfer_telemetry(
         app_bytes,
         times,
         cpu_mbps: ct_wire::mbps(app_bytes, total_cpu),
-        sim_elapsed: pair.net.now().saturating_since(start),
+        sim_elapsed: pair.pump.net.now().saturating_since(start),
     }
 }
 

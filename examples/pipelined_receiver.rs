@@ -17,11 +17,10 @@
 //! Run: `cargo run --release --example pipelined_receiver [loss_percent]`
 
 use alf_core::adu::AduName;
-use alf_core::driver::Substrate;
 use alf_core::transport::{AduTransport, AlfConfig, RecoveryMode, SendRefused};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
+use ct_netsim::pump::{Pump, Substrate};
 use ct_netsim::time::SimDuration;
 use ct_presentation::ber;
 use ct_presentation::stream::BerU32Stream;
@@ -47,14 +46,11 @@ fn main() {
         wire.len().div_ceil(adu_size)
     );
 
-    let mut net = Network::new(4242);
-    let tx_node = net.add_node();
-    let rx_node = net.add_node();
-    net.connect(
-        tx_node,
-        rx_node,
+    let mut pump = Pump::new(
+        4242,
         LinkConfig::gigabit(),
         FaultConfig::loss(loss_pct / 100.0),
+        Substrate::Packet,
     );
     let cfg = AlfConfig {
         recovery: RecoveryMode::TransportBuffer,
@@ -87,7 +83,6 @@ fn main() {
     let mut decoded = 0usize;
     let mut completions = 0usize;
     let mut held_back = 0usize;
-    let _ = Substrate::Packet; // (this example drives the packet substrate manually)
 
     for _ in 0..10_000_000u64 {
         while next_chunk < chunks.len() {
@@ -100,19 +95,7 @@ fn main() {
                 Err(e) => panic!("transfer refused fatally: {e}"),
             }
         }
-        let now = net.now();
-        for m in tx.poll(now) {
-            let _ = net.send(tx_node, rx_node, m);
-        }
-        for m in rx.poll(now) {
-            let _ = net.send(rx_node, tx_node, m);
-        }
-        while let Some(f) = net.recv(rx_node) {
-            rx.on_message(net.now(), &f.payload);
-        }
-        while let Some(f) = net.recv(tx_node) {
-            tx.on_message(net.now(), &f.payload);
-        }
+        let moved = pump.exchange(&mut tx, &mut rx);
         while let Some((adu, _)) = rx.recv_adu() {
             completions += 1;
             let AduName::FileRange { offset } = adu.name else {
@@ -130,7 +113,7 @@ fn main() {
             if completions.is_multiple_of(25) {
                 println!(
                     "t={:>10} completions={completions:3} decoded={decoded:6} ints ({:.0}% of stream)",
-                    format!("{}", net.now()),
+                    format!("{}", pump.net.now()),
                     100.0 * decoded as f64 / values.len() as f64
                 );
             }
@@ -138,27 +121,19 @@ fn main() {
         if decoder.is_done() {
             break;
         }
-        if !net.is_idle() {
-            net.step();
-        } else if let Some(t) = [tx.next_timeout(), rx.next_timeout()]
-            .into_iter()
-            .flatten()
-            .min()
-        {
-            if t > net.now() {
-                net.advance(t.saturating_since(net.now()));
+        if !pump.step(moved, [tx.next_timeout(), rx.next_timeout()]) {
+            if rx.reassembly_bytes() > 0 || !pending.is_empty() {
+                pump.net.advance(SimDuration::from_millis(1));
+            } else {
+                break;
             }
-        } else if rx.reassembly_bytes() > 0 || !pending.is_empty() {
-            net.advance(SimDuration::from_millis(1));
-        } else {
-            break;
         }
     }
 
     println!(
         "\ndecoded {decoded}/{} integers by {}",
         values.len(),
-        net.now()
+        pump.net.now()
     );
     println!(
         "ADUs completed: {completions}; completed out of stream order: {held_back} \

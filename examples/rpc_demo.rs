@@ -12,18 +12,16 @@ use alf_core::transport::{AduTransport, AlfConfig};
 use ct_apps::rpc::{Proc, RpcClient, RpcServer};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
+use ct_netsim::pump::{Pump, Substrate};
 use ct_netsim::time::SimDuration;
 
 fn main() {
-    let mut net = Network::new(2024);
-    let client_node = net.add_node();
-    let server_node = net.add_node();
-    net.connect(
-        client_node,
-        server_node,
+    // Client on node a, server on node b.
+    let mut pump = Pump::new(
+        2024,
         LinkConfig::wan(), // 10 Mb/s, 10 ms — latency makes ordering visible
         FaultConfig::loss(0.03),
+        Substrate::Packet,
     );
     let cfg = AlfConfig {
         retransmit_timeout: SimDuration::from_millis(120),
@@ -56,19 +54,7 @@ fn main() {
     // Event loop until every call completes.
     let mut completed = Vec::new();
     for _ in 0..2_000_000 {
-        let now = net.now();
-        for msg in client_tp.poll(now) {
-            let _ = net.send(client_node, server_node, msg);
-        }
-        for msg in server_tp.poll(now) {
-            let _ = net.send(server_node, client_node, msg);
-        }
-        while let Some(frame) = net.recv(server_node) {
-            server_tp.on_message(net.now(), &frame.payload);
-        }
-        while let Some(frame) = net.recv(client_node) {
-            client_tp.on_message(net.now(), &frame.payload);
-        }
+        let moved = pump.exchange(&mut client_tp, &mut server_tp);
         // Server executes whatever requests have fully arrived.
         while let Some((adu, _)) = server_tp.recv_adu() {
             match server.handle(&adu) {
@@ -85,7 +71,7 @@ fn main() {
         for (id, proc, result) in client.take_completed() {
             println!(
                 "call {id} ({proc:?}) completed at {} — result[0..2] = {:?}",
-                net.now(),
+                pump.net.now(),
                 &result[..result.len().min(2)]
             );
             completed.push(id);
@@ -93,18 +79,9 @@ fn main() {
         if completed.len() == calls.len() {
             break;
         }
-        if !net.is_idle() {
-            net.step();
-        } else {
-            match [client_tp.next_timeout(), server_tp.next_timeout()]
-                .into_iter()
-                .flatten()
-                .min()
-            {
-                Some(t) if t > net.now() => net.advance(t.saturating_since(net.now())),
-                Some(_) => {}
-                None => break,
-            }
+        let timers = [client_tp.next_timeout(), server_tp.next_timeout()];
+        if !pump.step(moved, timers) {
+            break;
         }
     }
 
@@ -116,7 +93,7 @@ fn main() {
         eprintln!("server send_complete: {}", server_tp.send_complete());
         eprintln!("client reassembly bytes: {}", client_tp.reassembly_bytes());
         eprintln!("server reassembly bytes: {}", server_tp.reassembly_bytes());
-        eprintln!("net stats: {}", net.stats());
+        eprintln!("net stats: {}", pump.net.stats());
     }
     assert_eq!(completed.len(), calls.len(), "all calls must finish");
     println!("\ncompletion order: {completed:?} (issue order was [0, 1, 2, 3, 4])");

@@ -11,10 +11,9 @@
 use alf_core::adu::AduName;
 use alf_core::transport::{AduTransport, AlfConfig, RecoveryMode};
 use ct_apps::video::{PlayoutBuffer, VideoSource};
-use ct_netsim::atm::{AtmConfig, AtmEndpoint};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
+use ct_netsim::pump::{Pump, Substrate};
 use ct_netsim::time::{SimDuration, SimTime};
 
 fn main() {
@@ -33,17 +32,12 @@ fn main() {
     );
 
     // Network: one gigabit link carrying cells.
-    let mut net = Network::new(99);
-    let tx_node = net.add_node();
-    let rx_node = net.add_node();
-    net.connect(
-        tx_node,
-        rx_node,
+    let mut pump = Pump::new(
+        99,
         LinkConfig::gigabit(),
         FaultConfig::loss(cell_loss / 100.0),
+        Substrate::Atm,
     );
-    let mut atm_tx = AtmEndpoint::new(tx_node, AtmConfig::default());
-    let mut atm_rx = AtmEndpoint::new(rx_node, AtmConfig::default());
 
     // Transports: real-time profile — no retransmission, tight reassembly.
     let cfg = AlfConfig {
@@ -71,7 +65,7 @@ fn main() {
 
     let mut next_frame_to_send: u32 = 0;
     while !playout.finished() {
-        let now = net.now();
+        let now = pump.net.now();
         // Source paces itself: emit frame f at f * interval.
         while next_frame_to_send < FRAMES
             && now >= SimTime::ZERO + frame_interval.saturating_mul(next_frame_to_send as u64)
@@ -81,42 +75,26 @@ fn main() {
             }
             next_frame_to_send += 1;
         }
-        // Transport → cells → network.
-        for msg in tx.poll(now) {
-            let _ = atm_tx.send_pdu(&mut net, rx_node, &msg);
-        }
-        for msg in rx.poll(now) {
-            let _ = atm_rx.send_pdu(&mut net, tx_node, &msg);
-        }
-        // Network → cells → transport → playout.
-        atm_rx.pump(&mut net);
-        while let Some((_, pdu)) = atm_rx.recv_pdu() {
-            rx.on_message(net.now(), &pdu);
-        }
-        atm_tx.pump(&mut net);
-        while let Some((_, pdu)) = atm_tx.recv_pdu() {
-            tx.on_message(net.now(), &pdu);
-        }
+        // Transport → cells → network → cells → transport → playout.
+        let moved = pump.exchange(&mut tx, &mut rx);
         while let Some((adu, _latency)) = rx.recv_adu() {
             debug_assert!(matches!(adu.name, AduName::Media { .. }));
-            playout.on_adu(net.now(), adu);
+            playout.on_adu(pump.net.now(), adu);
         }
         // Render everything due.
-        for (frame, _tiles, concealed) in playout.advance(net.now()) {
+        for (frame, _tiles, concealed) in playout.advance(pump.net.now()) {
             if concealed > 0 {
                 println!("frame {frame:2}: rendered with {concealed} tile(s) concealed");
             }
         }
-        // Advance the world ~1 ms per iteration.
-        if !net.is_idle() {
-            net.step();
-        } else {
-            net.advance(SimDuration::from_millis(1));
-        }
+        // Advance the world on the 1 ms render clock (the source and the
+        // playout are clocked, not timer-driven).
+        pump.step(moved, [Some(pump.net.now() + SimDuration::from_millis(1))]);
     }
 
     let s = playout.stats;
-    println!("\nplayout complete at {} (simulated)", net.now());
+    let atm = pump.atm().expect("ATM substrate");
+    println!("\nplayout complete at {} (simulated)", pump.net.now());
     println!(
         "frames: {} perfect, {} partial; tiles: {} rendered, {} concealed, {} late",
         s.frames_perfect, s.frames_partial, s.tiles_rendered, s.tiles_concealed, s.tiles_late
@@ -124,7 +102,7 @@ fn main() {
     println!("on-time tile ratio: {:.1}%", 100.0 * s.render_ratio());
     println!(
         "ATM: {} cells sent, {} PDUs lost to cell loss (whole-ADU loss, as §5 predicts)",
-        atm_tx.stats.cells_out, atm_rx.stats.pdus_lost
+        atm[0].stats.cells_out, atm[1].stats.pdus_lost
     );
     println!(
         "FEC reconstructions: {}; interarrival jitter estimate: {:.1} us",

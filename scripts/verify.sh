@@ -9,6 +9,10 @@ set -eux
 
 cargo build --release --workspace
 cargo test --release -q --workspace
+# The benchmark package is its own workspace built against these crates:
+# building and testing it here catches a moved or renamed public item it
+# imports.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -23,9 +27,10 @@ cargo run --release -q -p ct-bench --bin harness x9 > /dev/null
 # gather copy, and the owned-frame ingest never takes the decode copy;
 # it also refreshes BENCH_x10.json.
 #
-# Bench-regression gate: the harness runs on a deterministic simulator,
-# so the committed BENCH_*.json baselines must reproduce within 5%.
-# Snapshot them before the harness overwrites them in place.
+# Bench-regression gate: every leaf of the committed BENCH_*.json
+# baselines is simulator- or capacity-derived, so each must reproduce
+# exactly (--tolerance 0). Snapshot them before the harness overwrites
+# them in place.
 BASE_DIR=$(mktemp -d)
 trap 'rm -rf "$BASE_DIR"' EXIT
 cp BENCH_x10.json BENCH_x11.json BENCH_x12.json BENCH_x13.json BENCH_x14.json "$BASE_DIR"/
@@ -72,15 +77,15 @@ cargo run --release -q -p ct-bench --bin harness x14 > /dev/null
 cargo run --release -q -p ct-telemetry --bin ct-top -- \
     --self-check target/x14_rollup.jsonl > /dev/null
 
-cargo run --release -q -p ct-bench --bin bench-gate -- \
+cargo run --release -q -p ct-bench --bin bench-gate -- --tolerance 0 \
     "$BASE_DIR"/BENCH_x10.json BENCH_x10.json
-cargo run --release -q -p ct-bench --bin bench-gate -- \
+cargo run --release -q -p ct-bench --bin bench-gate -- --tolerance 0 \
     "$BASE_DIR"/BENCH_x11.json BENCH_x11.json
-cargo run --release -q -p ct-bench --bin bench-gate -- \
+cargo run --release -q -p ct-bench --bin bench-gate -- --tolerance 0 \
     "$BASE_DIR"/BENCH_x12.json BENCH_x12.json
-cargo run --release -q -p ct-bench --bin bench-gate -- \
+cargo run --release -q -p ct-bench --bin bench-gate -- --tolerance 0 \
     "$BASE_DIR"/BENCH_x13.json BENCH_x13.json
-cargo run --release -q -p ct-bench --bin bench-gate -- \
+cargo run --release -q -p ct-bench --bin bench-gate -- --tolerance 0 \
     "$BASE_DIR"/BENCH_x14.json BENCH_x14.json
 
 if [ "${SOAK:-0}" = "1" ]; then

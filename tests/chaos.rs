@@ -47,6 +47,7 @@ use alf_core::AduName;
 use ct_netsim::fault::{FaultConfig, GilbertElliott, MutatorConfig};
 use ct_netsim::link::LinkConfig;
 use ct_netsim::net::Network;
+use ct_netsim::pump::{Pump, Substrate};
 use ct_netsim::rng::SimRng;
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_telemetry::Telemetry;
@@ -117,13 +118,16 @@ fn chaos_run(seed: u64) -> Telemetry {
 fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
     let tel = Telemetry::with_tracing(TRACE_CAPACITY);
     let mut rng = SimRng::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut net = Network::new(seed);
-    let node_a = net.add_node();
-    let node_b = net.add_node();
-    net.connect(node_a, node_b, LinkConfig::lan(), FaultConfig::none());
-    net.attach_telemetry(tel.clone());
+    let mut pump = Pump::new(
+        seed,
+        LinkConfig::lan(),
+        FaultConfig::none(),
+        Substrate::Packet,
+    );
+    let (node_a, node_b) = (pump.node_a, pump.node_b);
+    pump.net.attach_telemetry(tel.clone());
     if always_hostile {
-        net.set_mutator(node_a, node_b, churn_mutator());
+        pump.net.set_mutator(node_a, node_b, churn_mutator());
     }
 
     let cfg = AlfConfig {
@@ -150,7 +154,7 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
     let mut done = false;
 
     for _ in 0..4_000_000u64 {
-        let now = net.now();
+        let now = pump.net.now();
 
         // Fault churn: mutate the regime, or cut the link outright for a
         // while (the outage end is always finite, so every partition heals).
@@ -158,24 +162,24 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
             if now >= next_phase_at {
                 if rng.chance(0.25) {
                     let dur = SimDuration::from_millis(50 + rng.next_below(200));
-                    net.schedule_outage(node_a, node_b, now, now + dur);
+                    pump.net.schedule_outage(node_a, node_b, now, now + dur);
                 } else {
-                    net.set_faults(node_a, node_b, next_regime(&mut rng));
+                    pump.net.set_faults(node_a, node_b, next_regime(&mut rng));
                 }
                 // Adversarial churn rides on top of the statistical regime:
                 // a third of phases arm the frame mutator, the rest disarm
                 // it (unless this run is always-hostile).
                 if always_hostile || rng.chance(0.33) {
-                    net.set_mutator(node_a, node_b, churn_mutator());
+                    pump.net.set_mutator(node_a, node_b, churn_mutator());
                 } else {
-                    net.clear_mutator(node_a, node_b);
+                    pump.net.clear_mutator(node_a, node_b);
                 }
                 next_phase_at = now + SimDuration::from_millis(100 + rng.next_below(150));
             }
         } else if !healed {
-            net.set_faults(node_a, node_b, FaultConfig::none());
+            pump.net.set_faults(node_a, node_b, FaultConfig::none());
             if !always_hostile {
-                net.clear_mutator(node_a, node_b);
+                pump.net.clear_mutator(node_a, node_b);
             }
             healed = true;
         }
@@ -189,23 +193,7 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
             }
         }
 
-        let mut moved = false;
-        for msg in a.poll(now) {
-            moved = true;
-            let _ = net.send(node_a, node_b, msg);
-        }
-        for msg in b.poll(now) {
-            moved = true;
-            let _ = net.send(node_b, node_a, msg);
-        }
-        while let Some(frame) = net.recv(node_b) {
-            moved = true;
-            b.on_message(net.now(), &frame.payload);
-        }
-        while let Some(frame) = net.recv(node_a) {
-            moved = true;
-            a.on_message(net.now(), &frame.payload);
-        }
+        let moved = pump.exchange(&mut a, &mut b);
 
         // --- In-loop invariants (violations dump the flight recorder) ---
         while let Some((adu, _latency)) = b.recv_adu() {
@@ -253,7 +241,7 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
             done = true;
             break;
         }
-        if net.now() >= SimTime::from_secs(60) {
+        if pump.net.now() >= SimTime::from_secs(60) {
             violation(
                 &tel,
                 seed,
@@ -268,30 +256,20 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
         // first, re-poll at the same instant while endpoints are producing,
         // then jump to the next timer (or the next churn phase, whichever
         // is sooner, so regimes mutate on schedule).
-        if !net.is_idle() {
-            net.step();
-        } else if moved {
-            // Queued output leaves at the current instant on the next pass.
-        } else {
-            let timer = [a.next_timeout(), b.next_timeout()]
-                .into_iter()
-                .flatten()
-                .min();
-            let phase = (net.now() < CHURN_UNTIL).then_some(next_phase_at);
-            match [timer, phase].into_iter().flatten().min() {
-                Some(t) if t > now => net.advance(t.saturating_since(now)),
-                Some(_) => {}
-                None if b.reassembly_bytes() > 0 => {
-                    net.advance(cfg.assembly_timeout + SimDuration::from_millis(1));
-                }
-                None => violation(
+        let phase = (pump.net.now() < CHURN_UNTIL).then_some(next_phase_at);
+        if !pump.step(moved, [a.next_timeout(), b.next_timeout(), phase]) {
+            if b.reassembly_bytes() > 0 {
+                pump.net
+                    .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
+            } else {
+                violation(
                     &tel,
                     seed,
                     &format!(
                         "wedged with nothing scheduled ({}/{ADUS} delivered)",
                         seen.len()
                     ),
-                ),
+                );
             }
         }
     }

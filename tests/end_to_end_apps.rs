@@ -11,29 +11,21 @@ use ct_apps::rpc::{Proc, RpcClient, RpcServer};
 use ct_apps::video::{PlayoutBuffer, VideoSource};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::{Network, NodeId};
+use ct_netsim::pump::{Pump, Substrate};
 use ct_netsim::time::{SimDuration, SimTime};
 
-/// Shared scaffolding: a two-node net with two ALF endpoints and a pump
-/// closure that advances everything one step.
+/// Shared scaffolding: a two-node net with two ALF endpoints, advanced
+/// one pump round per tick.
 struct World {
-    net: Network,
-    a_node: NodeId,
-    b_node: NodeId,
+    pump: Pump,
     a: AduTransport,
     b: AduTransport,
 }
 
 impl World {
     fn new(seed: u64, faults: FaultConfig, cfg: AlfConfig) -> Self {
-        let mut net = Network::new(seed);
-        let a_node = net.add_node();
-        let b_node = net.add_node();
-        net.connect(a_node, b_node, LinkConfig::lan(), faults);
         World {
-            net,
-            a_node,
-            b_node,
+            pump: Pump::new(seed, LinkConfig::lan(), faults, Substrate::Packet),
             a: AduTransport::new(cfg),
             b: AduTransport::new(cfg),
         }
@@ -41,43 +33,9 @@ impl World {
 
     /// One driver round; returns false when nothing can progress.
     fn tick(&mut self) -> bool {
-        let now = self.net.now();
-        let mut moved = false;
-        for m in self.a.poll(now) {
-            moved = true;
-            let _ = self.net.send(self.a_node, self.b_node, m);
-        }
-        for m in self.b.poll(now) {
-            moved = true;
-            let _ = self.net.send(self.b_node, self.a_node, m);
-        }
-        while let Some(f) = self.net.recv(self.b_node) {
-            moved = true;
-            self.b.on_message(self.net.now(), &f.payload);
-        }
-        while let Some(f) = self.net.recv(self.a_node) {
-            moved = true;
-            self.a.on_message(self.net.now(), &f.payload);
-        }
-        if !self.net.is_idle() {
-            self.net.step();
-            return true;
-        }
-        if moved {
-            return true;
-        }
-        let next = [self.a.next_timeout(), self.b.next_timeout()]
-            .into_iter()
-            .flatten()
-            .min();
-        match next {
-            Some(t) if t > now => {
-                self.net.advance(t.saturating_since(now));
-                true
-            }
-            Some(_) => true,
-            None => false,
-        }
+        let moved = self.pump.exchange(&mut self.a, &mut self.b);
+        self.pump
+            .step(moved, [self.a.next_timeout(), self.b.next_timeout()])
     }
 }
 
@@ -146,7 +104,7 @@ fn video_end_to_end_loss_tolerant() {
     );
     let mut next_frame = 0u32;
     while !playout.finished() {
-        let now = world.net.now();
+        let now = world.pump.net.now();
         while next_frame < FRAMES
             && now >= SimTime::ZERO + interval.saturating_mul(next_frame as u64)
         {
@@ -159,11 +117,11 @@ fn video_end_to_end_loss_tolerant() {
             next_frame += 1;
         }
         while let Some((adu, _)) = world.b.recv_adu() {
-            playout.on_adu(world.net.now(), adu);
+            playout.on_adu(world.pump.net.now(), adu);
         }
-        playout.advance(world.net.now());
+        playout.advance(world.pump.net.now());
         if !world.tick() {
-            world.net.advance(SimDuration::from_millis(1));
+            world.pump.net.advance(SimDuration::from_millis(1));
         }
     }
     let s = playout.stats;
@@ -175,7 +133,7 @@ fn video_end_to_end_loss_tolerant() {
     );
     assert!(s.tiles_concealed > 0, "4% loss must conceal something");
     // The defining real-time property: the stream finished on schedule.
-    assert!(world.net.now() < SimTime::from_secs(3));
+    assert!(world.pump.net.now() < SimTime::from_secs(3));
 }
 
 #[test]
