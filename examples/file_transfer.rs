@@ -8,11 +8,12 @@
 //!
 //! Run: `cargo run --example file_transfer [loss_percent]`
 
-use alf_core::driver::{run_alf_transfer, Substrate};
+use alf_core::driver::run_alf_transfer;
 use alf_core::transport::AlfConfig;
 use ct_apps::filetransfer::{FileReceiver, FileSender};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Substrate;
 use ct_netsim::time::SimDuration;
 
 fn main() {

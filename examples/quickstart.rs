@@ -13,12 +13,13 @@
 //! Run: `cargo run --example quickstart`
 
 use alf_core::adu::AduName;
-use alf_core::driver::{run_alf_transfer, Substrate};
+use alf_core::driver::run_alf_transfer;
 use alf_core::pipeline::{Manipulation, Pipeline};
 use alf_core::transport::AlfConfig;
 use alf_core::Adu;
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Substrate;
 
 fn main() {
     // --- 1. ten ADUs, each named so the receiver knows its disposition ---

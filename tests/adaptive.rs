@@ -5,10 +5,11 @@
 //! bottleneck converges near the bottleneck rate and beats the fixed-timer
 //! baseline under random loss.
 
-use alf_core::driver::{run_alf_transfer, seq_workload, Substrate};
+use alf_core::driver::{run_alf_transfer, seq_workload};
 use alf_core::transport::{AlfConfig, RecoveryMode};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Substrate;
 use ct_netsim::time::SimDuration;
 
 fn adaptive() -> AlfConfig {

@@ -14,10 +14,11 @@
 //!    the pushback *visible* to the sender (refused TUs re-advertised via
 //!    window, `send_adu` backpressure) rather than silent.
 
-use alf_core::driver::{run_alf_transfer_scenario, seq_workload, ScenarioOpts, Substrate};
+use alf_core::driver::{run_alf_transfer_scenario, seq_workload, ScenarioOpts};
 use alf_core::transport::{AlfConfig, RecoveryMode};
 use ct_netsim::fault::{FaultConfig, GilbertElliott};
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Substrate;
 use ct_netsim::time::{SimDuration, SimTime};
 
 #[test]

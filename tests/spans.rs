@@ -11,10 +11,11 @@
 //! * a wrapped ring yields an explicit `TRUNCATED` marker in the export
 //!   and the report, never a silently short timeline.
 
-use alf_core::driver::{run_alf_transfer_scenario, seq_workload, ScenarioOpts, Substrate};
+use alf_core::driver::{run_alf_transfer_scenario, seq_workload, ScenarioOpts};
 use alf_core::transport::AlfConfig;
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Substrate;
 use ct_telemetry::span::{stream_stalls, SpanReport};
 use ct_telemetry::{Event, Telemetry};
 use ct_transport::{run_transfer_telemetry, StreamConfig};

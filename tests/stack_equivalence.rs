@@ -2,10 +2,11 @@
 //! must both deliver application data *exactly*, across every fault profile
 //! — the architectures differ in pipeline behaviour, never in correctness.
 
-use alf_core::driver::{run_alf_transfer, seq_workload, Substrate};
+use alf_core::driver::{run_alf_transfer, seq_workload};
 use alf_core::transport::{AlfConfig, RecoveryMode};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Substrate;
 use ct_netsim::time::SimDuration;
 use ct_transport::driver::{payload_crc, run_transfer};
 use ct_transport::stream::StreamConfig;

@@ -4,11 +4,12 @@
 //! clean networks; under loss, the cell substrate must show exactly the
 //! loss-amplification arithmetic the paper gives.
 
-use alf_core::driver::{run_alf_transfer, seq_workload, Substrate};
+use alf_core::driver::{run_alf_transfer, seq_workload};
 use alf_core::transport::{AlfConfig, RecoveryMode};
 use ct_netsim::atm;
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Substrate;
 use ct_netsim::time::SimDuration;
 
 #[test]

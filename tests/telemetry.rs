@@ -10,10 +10,11 @@
 //!   and arming the lifecycle-span trace points costs under 2% of a full
 //!   scenario run versus the same run with tracing disarmed.
 
-use alf_core::driver::{run_alf_transfer_scenario, seq_workload, ScenarioOpts, Substrate};
+use alf_core::driver::{run_alf_transfer_scenario, seq_workload, ScenarioOpts};
 use alf_core::transport::AlfConfig;
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::pump::Substrate;
 use ct_telemetry::{Event, MetricsRegistry, Telemetry, TouchLedger};
 
 #[test]
